@@ -6,7 +6,8 @@ Usage::
         [--jobs-sweep 1,2,4,8] [--output PATH]
 
 Measures the library's hot kernels — GF(256) buffer math, the peeling
-oracle, the recovery planner (cached and uncached single-failure paths),
+oracle, the recovery planner (cached and uncached single-failure paths,
+cold two-failure plans),
 the exhaustive tolerance sweep, the Monte-Carlo lifetime engine
 (vectorized and event kernels, serial and a ``--jobs`` sweep over the
 persistent worker pool), the coupled lifecycle engine (both kernels of
@@ -38,6 +39,7 @@ best-of-N wall clock; treat small deltas (<20%) as noise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -121,6 +123,7 @@ def measure_kernels() -> dict:
     acc = np.zeros(UNIT, dtype=np.uint8)
     oi = oi_raid(7, 3)
     big = oi_raid(19, 3)
+    pairs = list(itertools.combinations(range(oi.n_disks), 2))
 
     note("measuring GF(256) kernels, peeler, planner, tolerance sweep ...")
     current = {
@@ -147,6 +150,13 @@ def measure_kernels() -> dict:
             repeat=5,
             number=1,
         ),
+        # Cold multi-failure planning, as a fleet run pays it: the mean
+        # plan over all 210 two-disk patterns, none of them memoized.
+        "plan_multi_uncached_21_s": best_of(
+            lambda: [plan_recovery(oi, pair) for pair in pairs],
+            repeat=3,
+            number=1,
+        ) / len(pairs),
         "survivable_f3_exhaustive_21_s": best_of(
             lambda: survivable_fraction(oi, 3), repeat=3, number=1
         ),

@@ -52,7 +52,7 @@ carries only the command's output.
 
 Exit codes are uniform: 0 success, 1 domain error (anything raising
 :class:`~repro.errors.ReproError`, reported on stderr), 2 usage error
-(argparse rejection).
+(argparse rejection, or a ``-f/--failed`` disk id outside the array).
 """
 
 from __future__ import annotations
@@ -298,8 +298,23 @@ def _cmd_designs(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """Bad input that parsing alone cannot catch; exits 2 like argparse."""
+
+
+def _check_failed(failed: List[int], n_disks: int) -> None:
+    """Reject ``-f/--failed`` disk ids outside ``0..n_disks-1``."""
+    for disk in failed:
+        if not 0 <= disk < n_disks:
+            raise _UsageError(
+                f"-f/--failed: no such disk {disk} "
+                f"(the array has disks 0..{n_disks - 1})"
+            )
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     layout = _layout_from(args)
+    _check_failed(args.failed, layout.n_disks)
     summary = recovery_summary(layout, args.failed)
     rows = [
         ["failed disks", str(list(summary.failed_disks))],
@@ -335,15 +350,15 @@ def _cmd_tolerance(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebuild(args: argparse.Namespace) -> int:
-    result = run_scenario(
-        Scenario(
-            kind="rebuild",
-            scheme=args.scheme,
-            scheme_params=_scheme_params_from(args),
-            disk=_disk_from(args),
-            faults=tuple(args.failed),
-        )
+    scenario = Scenario(
+        kind="rebuild",
+        scheme=args.scheme,
+        scheme_params=_scheme_params_from(args),
+        disk=_disk_from(args),
+        faults=tuple(args.failed),
     )
+    _check_failed(args.failed, scenario.layout.n_disks)
+    result = run_scenario(scenario)
     rows = [
         ["failed disks", str(list(result.failed_disks))],
         ["rebuild time", format_duration(result.seconds)],
@@ -594,6 +609,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         telemetry=args.telemetry,
     )
     layout = scenario.layout
+    _check_failed(args.failed, layout.n_disks)
     logger.info(
         "serve: scheme=%s, %d disks, %d failed, throttle=%s, %d trial(s), "
         "%d job(s)",
@@ -1265,7 +1281,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code (0/1/2).
 
     0 = success, 1 = domain error (:class:`ReproError`, message on
-    stderr), 2 = usage error (argparse). ``--help`` returns 0.
+    stderr), 2 = usage error (argparse, or a bad ``-f/--failed`` disk id,
+    message on stderr). ``--help`` returns 0.
     """
     parser = build_parser()
     try:
@@ -1306,6 +1323,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

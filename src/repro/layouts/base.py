@@ -34,47 +34,46 @@ Cell = Tuple[int, int]
 
 @dataclass(frozen=True)
 class PeelingIndex:
-    """Read-only geometry index consumed by the peeling decoder/planner.
+    """Read-only geometry index consumed by the cell-granular peeler.
 
-    Built once per layout (cached on the instance) so the recoverability
-    oracle and the recovery planner never rebuild per-stripe cell tuples or
-    rescan the whole stripe list: eligibility is tracked by per-stripe
-    lost-cell *counts*, and only stripes incident to a changed cell are
-    revisited.
+    Built once per layout (cached on the instance) so peeling never
+    rebuilds per-stripe cell tuples or rescans the whole stripe list:
+    eligibility is tracked by per-stripe lost-cell *counts*, and only
+    stripes incident to a changed cell are revisited.
 
     Attributes:
         stripe_cells: per stripe id, its cells in position order.
         stripe_tolerance: per stripe id, its erasure tolerance.
-        stripe_needed: per stripe id, ``width - tolerance`` — how many
-            known values an MDS decode of the stripe consumes. The
-            planner's source selection reads this instead of touching
-            :class:`Stripe` objects in its scoring loop.
         cell_stripes: cell -> stripe ids containing it.
     """
 
     stripe_cells: Tuple[Tuple[Cell, ...], ...]
     stripe_tolerance: Tuple[int, ...]
-    stripe_needed: Tuple[int, ...]
     cell_stripes: Dict[Cell, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class DiskPeelingIndex:
-    """Integer-id twin of :class:`PeelingIndex` for whole-disk failures.
+    """Integer-id twin of :class:`PeelingIndex`.
 
-    The recoverability oracle only ever asks about whole-disk failure
-    patterns, and it is the hot call of every Monte-Carlo kernel — so this
-    index flattens cells to ``disk * units_per_disk + addr`` integers and
-    precomputes each disk's contribution to the per-stripe lost-cell
-    counts. The oracle's peel then runs on lists and a ``bytearray``
-    instead of tuple-keyed dicts and sets (~2.7x on the 21-disk layout).
+    The recoverability oracle (the hot call of every Monte-Carlo kernel)
+    and the recovery planner run on this index: it flattens cells to
+    ``disk * units_per_disk + addr`` integers and precomputes each disk's
+    contribution to the per-stripe lost-cell counts, so their loops run
+    on lists and ``bytearray`` flags instead of tuple-keyed dicts and sets
+    (~2.7x for the oracle on the 21-disk layout). Cell ids sort in the
+    same order as their ``(disk, addr)`` pairs.
 
     Attributes:
         units_per_disk: cells per disk (the cell-id stride).
         n_cells: total cells in the layout cycle.
         stripe_cells: per stripe id, its member cell ids.
         stripe_tolerance: per stripe id, its erasure tolerance.
+        stripe_needed: per stripe id, ``width - tolerance`` — how many
+            known values an MDS decode of the stripe consumes.
         cell_stripes: per cell id, the stripe ids containing it.
+        cell_disk: per cell id, its disk.
+        cells: per cell id, its ``(disk, addr)`` pair.
         disk_stripe_counts: per disk, ``(stripe_id, lost_cells)`` pairs —
             the per-stripe count increments caused by that disk failing.
     """
@@ -83,7 +82,10 @@ class DiskPeelingIndex:
     n_cells: int
     stripe_cells: Tuple[Tuple[int, ...], ...]
     stripe_tolerance: Tuple[int, ...]
+    stripe_needed: Tuple[int, ...]
     cell_stripes: Tuple[Tuple[int, ...], ...]
+    cell_disk: Tuple[int, ...]
+    cells: Tuple[Cell, ...]
     disk_stripe_counts: Tuple[Tuple[Tuple[int, int], ...], ...]
 
 
@@ -277,9 +279,6 @@ class Layout(abc.ABC):
             self._peeling_index = PeelingIndex(
                 stripe_cells=tuple(s.cells() for s in self._stripes),
                 stripe_tolerance=tuple(s.tolerance for s in self._stripes),
-                stripe_needed=tuple(
-                    s.width - s.tolerance for s in self._stripes
-                ),
                 cell_stripes={
                     cell: tuple(ids)
                     for cell, ids in self._cell_stripes.items()
@@ -310,7 +309,18 @@ class Layout(abc.ABC):
                     for cells in index.stripe_cells
                 ),
                 stripe_tolerance=index.stripe_tolerance,
+                stripe_needed=tuple(
+                    s.width - s.tolerance for s in self._stripes
+                ),
                 cell_stripes=tuple(cell_stripes),
+                cell_disk=tuple(
+                    disk for disk in range(self.n_disks) for _ in range(u)
+                ),
+                cells=tuple(
+                    (disk, addr)
+                    for disk in range(self.n_disks)
+                    for addr in range(u)
+                ),
                 disk_stripe_counts=tuple(disk_stripe_counts),
             )
         return self._disk_peeling_index

@@ -22,9 +22,10 @@ geometry into its recovery speedup:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import DefaultDict, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DataLossError
 from repro.layouts.base import (
@@ -32,30 +33,35 @@ from repro.layouts.base import (
     DiskPeelingIndex,
     Layout,
     PeelingIndex,
-    Stripe,
 )
 from repro.obs.telemetry import ambient
+
+
+def _check_disks(layout: Layout, disks: Iterable[int]) -> None:
+    for disk in disks:
+        if not 0 <= disk < layout.n_disks:
+            raise ValueError(f"no such disk {disk} in {layout.name}")
+
+
+def _check_cells(layout: Layout, cells: Iterable[Cell]) -> None:
+    for disk, addr in cells:
+        if not (
+            0 <= disk < layout.n_disks and 0 <= addr < layout.units_per_disk
+        ):
+            raise ValueError(
+                f"no such cell ({disk}, {addr}) in {layout.name}"
+            )
 
 
 def lost_cells(layout: Layout, failed_disks: Iterable[int]) -> Set[Cell]:
     """All cells of the layout cycle residing on the failed disks."""
     failed = set(failed_disks)
-    for disk in failed:
-        if not 0 <= disk < layout.n_disks:
-            raise ValueError(f"no such disk {disk} in {layout.name}")
+    _check_disks(layout, failed)
     return {
         (disk, addr)
         for disk in failed
         for addr in range(layout.units_per_disk)
     }
-
-
-def _eligible(stripe: Stripe, lost: Set[Cell]) -> Optional[Tuple[Cell, ...]]:
-    """The stripe's lost cells if it can repair them all, else None."""
-    in_stripe = tuple(c for c in stripe.cells() if c in lost)
-    if 0 < len(in_stripe) <= stripe.tolerance:
-        return in_stripe
-    return None
 
 
 def _lost_counts(index: PeelingIndex, lost: Set[Cell]) -> Dict[int, int]:
@@ -159,13 +165,7 @@ def cells_recoverable(layout: Layout, cells: Iterable[Cell]) -> bool:
     jointly decodable.
     """
     lost = set(cells)
-    for disk, addr in lost:
-        if not (
-            0 <= disk < layout.n_disks and 0 <= addr < layout.units_per_disk
-        ):
-            raise ValueError(
-                f"no such cell ({disk}, {addr}) in {layout.name}"
-            )
+    _check_cells(layout, lost)
     if not lost:
         return True
     return _peel(layout, lost)
@@ -184,9 +184,7 @@ def is_recoverable(layout: Layout, failed_disks: Iterable[int]) -> bool:
     if tel.enabled:
         tel.count("recovery.oracle_calls")
     failed = set(failed_disks)
-    for disk in failed:
-        if not 0 <= disk < layout.n_disks:
-            raise ValueError(f"no such disk {disk} in {layout.name}")
+    _check_disks(layout, failed)
     if not failed:
         return True
     return _peel_disks(layout.disk_peeling_index(), failed)
@@ -298,52 +296,62 @@ def parity_disk_table(layout: Layout) -> Dict[Cell, Tuple[int, ...]]:
     return result
 
 
-def _surrogate_options(
-    layout: Layout, cell: Cell, lost_or_target: Set[Cell]
-) -> List[Tuple[int, Tuple[Cell, ...]]]:
-    """Stripes that can decode *cell* purely from online, un-lost cells."""
-    options = []
-    for stripe_id in layout.stripes_containing(cell):
-        stripe = layout.stripes[stripe_id]
-        if stripe.tolerance < 1:
-            continue
-        others = tuple(c for c in stripe.cells() if c != cell)
-        if any(c in lost_or_target for c in others):
-            continue
-        options.append((stripe_id, others))
-    return options
+#: A stripe's cached score: ``(local peak, reads, deps)``.
+_Score = Tuple[int, Optional[List[int]], Tuple[Tuple[int, int], ...]]
 
 
 def _select_sources(
-    cells: Tuple[Cell, ...],
-    needed: int,
-    base_fresh: List[Cell],
-    recovered: Set[Cell],
-    loads: Dict[int, int],
-) -> Tuple[List[Cell], List[Cell]]:
-    """Pick the surviving values a repair of the stripe actually needs.
+    pool: List[int],
+    pool_disks: Tuple[Tuple[int, int], ...],
+    n_fresh: int,
+    loads: List[int],
+    cell_disk: Sequence[int],
+) -> _Score:
+    """Score the fresh reads a stripe repair would make right now.
 
     An MDS stripe decodes from any ``width - tolerance`` known values, so
     a stripe with fewer losses than its tolerance can skip some survivors.
-    Free values first (cells already recovered by earlier steps), then the
-    least-loaded disks; returns (fresh reads, reuses).
+    Free values go first (cells already recovered by earlier steps; the
+    caller turns those into reuses), then *n_fresh* reads from the
+    least-loaded disks, ties by cell: *pool* is the stripe's static
+    fresh-read pool (its never-lost cell ids, sorted), so one stable sort
+    by current load ranks it. *pool_disks* pairs each pool disk with its
+    number of pool cells.
 
-    *base_fresh* is the stripe's static fresh-read pool — the cells never
-    in the failure's lost set, pre-sorted by cell — so the per-round work
-    is one stable re-sort by current load (ties break by cell, exactly the
-    old ``(load, cell)`` composite key) instead of rebuilding and
-    re-keying the survivor list from scratch every scoring call.
+    Returns ``(local peak, reads, deps)``. The local peak is the highest
+    load a read disk reaches once the reads land (0 with no reads); *deps*
+    pairs each read disk with its number of reads, and the result depends
+    only on those disks' loads. Loads only grow while a plan is built, so
+    the result stays valid until a dep disk gains load (a busier unchosen
+    disk only sinks further in the ranking) or *n_fresh* changes. When
+    the repair reads the whole pool the choice is fixed and only its
+    order moves with the loads, so *reads* is ``None``: the caller sorts
+    the pool if the stripe wins the round.
     """
-    reuse = [c for c in cells if c in recovered]
-    if len(reuse) > needed:
-        del reuse[needed:]
-    n_fresh = needed - len(reuse)
     if n_fresh <= 0:
-        return [], reuse
-    loads_get = loads.get
-    fresh = sorted(base_fresh, key=lambda c: loads_get(c[0], 0))
-    del fresh[n_fresh:]
-    return fresh, reuse
+        return 0, [], ()
+    if n_fresh >= len(pool):
+        reads = None
+        deps = pool_disks
+    else:
+        reads = sorted(pool, key=lambda c: loads[cell_disk[c]])
+        del reads[n_fresh:]
+        bump: Dict[int, int] = {}
+        for cell in reads:
+            disk = cell_disk[cell]
+            bump[disk] = bump.get(disk, 0) + 1
+        deps = tuple(bump.items())
+    return _peak_after(deps, loads), reads, deps
+
+
+def _peak_after(deps: Tuple[Tuple[int, int], ...], loads: List[int]) -> int:
+    """Highest load among *deps* disks once their reads land (0 if none)."""
+    peak = 0
+    for disk, extra in deps:
+        value = loads[disk] + extra
+        if value > peak:
+            peak = value
+    return peak
 
 
 def plan_recovery(
@@ -415,101 +423,203 @@ def _plan_recovery_impl(
     lost_override: Optional[Set[Cell]],
 ) -> RecoveryPlan:
     failed = tuple(sorted(set(failed_disks)))
-    all_lost = (
-        set(lost_override)
-        if lost_override is not None
-        else lost_cells(layout, failed)
-    )
     plan = RecoveryPlan(layout.name, failed)
-    if not all_lost:
+    # The planner runs on the integer cell ids of the disk peeling index:
+    # ``was_lost`` / ``lost`` are per-cell flags, and a cell is recovered
+    # once it was lost and is no longer. Cells turn back into
+    # ``(disk, addr)`` pairs only in the emitted plan.
+    index = layout.disk_peeling_index()
+    units = index.units_per_disk
+    was_lost = bytearray(index.n_cells)
+    # Per-stripe lost-cell counts, over the stripes touching a loss.
+    counts: Dict[int, int] = {}
+    if lost_override is not None:
+        all_lost = set(lost_override)
+        _check_cells(layout, all_lost)
+        for disk, addr in all_lost:
+            cell = disk * units + addr
+            was_lost[cell] = 1
+            for sid in index.cell_stripes[cell]:
+                counts[sid] = counts.get(sid, 0) + 1
+        n_lost = len(all_lost)
+    else:
+        _check_disks(layout, failed)
+        ones = b"\x01" * units
+        for disk in failed:
+            was_lost[disk * units:(disk + 1) * units] = ones
+            for sid, lost_here in index.disk_stripe_counts[disk]:
+                counts[sid] = counts.get(sid, 0) + lost_here
+        n_lost = len(failed) * units
+    if not n_lost:
         return plan
-
-    lost = set(all_lost)
-    recovered: Set[Cell] = set()
-    loads: Dict[int, int] = {}
-
-    # Incremental eligibility: per-stripe lost-cell counts (maintained as
-    # cells are repaired) make "which stripes could repair right now" a set
-    # lookup instead of a rescan of every candidate stripe per round.
-    index = layout.peeling_index()
-    tolerance = index.stripe_tolerance
+    lost = bytearray(was_lost)
     stripe_cells = index.stripe_cells
+    tolerance = index.stripe_tolerance
     stripe_needed = index.stripe_needed
-    counts = _lost_counts(index, lost)
+    cell_stripes = index.cell_stripes
+    cell_disk = index.cell_disk
+    cell_of = index.cells
+
+    # Incremental eligibility: the counts, maintained as cells are
+    # repaired, make "which stripes could repair right now" a set lookup
+    # instead of a rescan of every candidate stripe per round. A stripe's
+    # reuses are its repaired cells: ``start - counts``.
+    start = dict(counts)
     eligible = {sid for sid, c in counts.items() if c <= tolerance[sid]}
 
-    # Static fresh-read pools, built lazily per stripe the first time it
-    # becomes a candidate: a cell is a possible fresh read iff it is never
-    # lost (recovered cells move to the reuse pool, not back to fresh), so
-    # the pool is fixed for the whole plan and scoring rounds only re-rank
-    # it by current load instead of re-deriving it from the lost set.
-    base_fresh: Dict[int, List[Cell]] = {}
+    # Static fresh-read pools (never-lost cells) and their per-disk cell
+    # counts, built the first time a stripe is scored.
+    pools: Dict[int, Tuple[List[int], Tuple[Tuple[int, int], ...]]] = {}
+    loads = [0] * layout.n_disks
 
-    # The selection below is an argmin over ``(key, stripe_id)``, so the
-    # iteration order of ``eligible`` is immaterial — no per-round sort.
-    raw_steps: List[Tuple[Stripe, Tuple[Cell, ...], Tuple[Cell, ...], Tuple[Cell, ...]]] = []
-    peak = 0
-    loads_get = loads.get
-    while lost:
-        best_key = None
-        best_sid = -1
-        best_fresh: List[Cell] = []
-        best_reuse: List[Cell] = []
-        for stripe_id in eligible:
-            cells = stripe_cells[stripe_id]
-            pool = base_fresh.get(stripe_id)
-            if pool is None:
-                pool = base_fresh[stripe_id] = sorted(
-                    c for c in cells if c not in all_lost
-                )
-            # Sourcing is a pure function of state that is frozen for the
-            # whole round, so the scoring call doubles as the final one —
-            # the winner's picks are kept instead of recomputed.
-            reads, reuse = _select_sources(
-                cells, stripe_needed[stripe_id], pool, recovered, loads
+    # Cached per-stripe scoring: stripe -> (local peak, reads, deps) from
+    # _select_sources. A repair in the stripe changes its lost count and
+    # reuses, so it is rescored before the next choice (``dirty``). A load
+    # gain on one of its dep disks (``watchers`` maps disk -> stripes)
+    # can only raise its local peak, so it is just marked ``stale``: the
+    # cached score stays a lower bound, and is redone only if the stripe
+    # reaches the front of the choice.
+    scored: Dict[int, _Score] = {}
+    watchers: DefaultDict[int, Set[int]] = defaultdict(set)
+    stale: Set[int] = set()
+    dirty = set(eligible)
+
+    # With ``balance`` the choice is the argmin over eligible stripes of
+    # ``(peak after the step, -lost cells, reads, stripe id)``, where the
+    # peak after the step is the running peak or the stripe's local peak,
+    # whichever is higher — so a new running peak never forces a rescore.
+    # Every stripe whose local peak is at most the running peak ties on
+    # the first term; those sit in the heap ``level`` keyed by the rest.
+    # The others sit in ``above`` keyed by local peak first, and move to
+    # ``level`` as the running peak reaches them. A heap item is live
+    # while its entry is still the stripe's cached one (rescoring pushes
+    # a fresh item). Without ``balance`` the lowest eligible id wins.
+    level: List[tuple] = []
+    above: List[tuple] = []
+
+    def score(sid: int) -> _Score:
+        static = pools.get(sid)
+        if static is None:
+            pool = [c for c in stripe_cells[sid] if not was_lost[c]]
+            pool.sort()
+            per_disk: Dict[int, int] = {}
+            for cell in pool:
+                disk = cell_disk[cell]
+                per_disk[disk] = per_disk.get(disk, 0) + 1
+            static = pools[sid] = (pool, tuple(per_disk.items()))
+        pool, pool_disks = static
+        old = scored.get(sid)
+        if old is not None and old[1] is None:
+            # Stale, and reads its whole pool: only the local peak moved.
+            entry = (_peak_after(old[2], loads), None, old[2])
+        else:
+            needed = stripe_needed[sid]
+            reused = start[sid] - counts[sid]
+            entry = _select_sources(
+                pool, pool_disks, needed - reused if reused < needed else 0,
+                loads, cell_disk,
             )
-            if balance:
-                # Loads only grow within a round, so the candidate peak is
-                # the running peak bumped by this candidate's own reads —
-                # no dict copy, no full re-max.
-                cand_peak = peak
-                if reads:
-                    bump: Dict[int, int] = {}
-                    for disk, _addr in reads:
-                        bump[disk] = bump.get(disk, 0) + 1
-                    for disk, extra in bump.items():
-                        value = loads_get(disk, 0) + extra
-                        if value > cand_peak:
-                            cand_peak = value
-                key = (cand_peak, -counts[stripe_id], len(reads))
+            if old is None or old[2] != entry[2]:
+                if old is not None:
+                    for disk, _n in old[2]:
+                        watchers[disk].discard(sid)
+                for disk, _n in entry[2]:
+                    watchers[disk].add(sid)
+        scored[sid] = entry
+        stale.discard(sid)
+        if balance:
+            reads = entry[1]
+            item = (
+                -counts[sid],
+                len(pool) if reads is None else len(reads),
+                sid,
+                entry,
+            )
+            if entry[0] <= peak:
+                heappush(level, item)
             else:
-                key = (stripe_id, 0, 0)
-            if best_key is None or (key, stripe_id) < (best_key, best_sid):
-                best_key = key
-                best_sid = stripe_id
-                best_fresh = reads
-                best_reuse = reuse
-        if best_key is None:
+                heappush(above, (entry[0],) + item)
+        return entry
+
+    def forget(sid: int) -> None:
+        dirty.add(sid)
+        entry = scored.pop(sid, None)
+        if entry is not None:
+            for disk, _n in entry[2]:
+                watchers[disk].discard(sid)
+
+    raw_steps: List[
+        Tuple[int, Tuple[Cell, ...], Tuple[Cell, ...], Tuple[Cell, ...]]
+    ] = []
+    peak = 0
+    while n_lost:
+        if not eligible:
             raise DataLossError(
                 f"{layout.name}: failure of disks {list(failed)} is not "
-                f"recoverable ({len(lost)} cells stranded)"
+                f"recoverable ({n_lost} cells stranded)"
             )
-        repairable = tuple(
-            c for c in stripe_cells[best_sid] if c in lost
-        )
-        fresh = tuple(best_fresh)
-        raw_steps.append(
-            (layout.stripes[best_sid], repairable, fresh, tuple(best_reuse))
-        )
-        for disk, _addr in fresh:
-            value = loads_get(disk, 0) + 1
+        if balance:
+            for sid in dirty:
+                if sid in eligible:
+                    score(sid)
+            while True:
+                while above and above[0][0] <= peak:
+                    heappush(level, heappop(above)[1:])
+                heap = level if level else above
+                item = heap[0]
+                best = item[-2]
+                entry = item[-1]
+                if scored.get(best) is not entry:
+                    heappop(heap)
+                elif best in stale:
+                    if entry[1] is None and _peak_after(
+                        entry[2], loads
+                    ) <= max(peak, entry[0]):
+                        # Reads its whole pool and its peak term did not
+                        # move: the key is still exact.
+                        stale.discard(best)
+                        break
+                    heappop(heap)
+                    score(best)
+                else:
+                    break
+        else:
+            best = min(eligible)
+            entry = scored.get(best)
+            if entry is None or best in stale:
+                entry = score(best)
+        dirty.clear()
+        reads = entry[1]
+        if reads is None:
+            reads = pools[best][0]
+            if len(reads) > 1:
+                reads = sorted(reads, key=lambda c: loads[cell_disk[c]])
+        cells = stripe_cells[best]
+        repairable = [c for c in cells if lost[c]]
+        if start[best] == counts[best]:
+            reuse = ()
+        else:
+            reuse = tuple(map(cell_of.__getitem__, [
+                c for c in cells if was_lost[c] and not lost[c]
+            ][:stripe_needed[best]]))
+        raw_steps.append((
+            best,
+            tuple(map(cell_of.__getitem__, repairable)),
+            tuple(map(cell_of.__getitem__, reads)),
+            reuse,
+        ))
+        for cell in reads:
+            disk = cell_disk[cell]
+            value = loads[disk] + 1
             loads[disk] = value
             if value > peak:
                 peak = value
-        lost.difference_update(repairable)
-        recovered.update(repairable)
+            stale.update(watchers[disk])
         for cell in repairable:
-            for other in index.cell_stripes[cell]:
+            lost[cell] = 0
+            n_lost -= 1
+            for other in cell_stripes[cell]:
+                forget(other)
                 counts[other] -= 1
                 if 0 < counts[other] <= tolerance[other]:
                     eligible.add(other)
@@ -519,125 +629,188 @@ def _plan_recovery_impl(
     # Materialize sources (all direct initially).
     sources_per_step: List[List[ValueSource]] = [
         [ValueSource(cell, None, (cell,)) for cell in fresh]
-        for _stripe, _targets, fresh, _reuse in raw_steps
+        for _sid, _targets, fresh, _reuse in raw_steps
     ]
 
     if offload:
         _offload_pass(
-            layout, all_lost, raw_steps, sources_per_step, max_offload_rounds
+            index, layout.n_disks, was_lost, sources_per_step,
+            max_offload_rounds,
         )
 
-    for (stripe, targets, _fresh, reuse), sources in zip(
+    for (sid, targets, _fresh, reuse), sources in zip(
         raw_steps, sources_per_step
     ):
-        plan.steps.append(
-            RepairStep(stripe.stripe_id, targets, tuple(sources), reuse)
-        )
+        plan.steps.append(RepairStep(sid, targets, tuple(sources), reuse))
     return plan
 
 
+#: One offload move: the alternative ``(via, reads)`` sourcing, its
+#: ``(disk, load change)`` pairs, and its change in total reads.
+_Move = Tuple[
+    Tuple[Optional[int], Tuple[Cell, ...]], Tuple[Tuple[int, int], ...], int
+]
+
+
 def _offload_pass(
-    layout: Layout,
-    all_lost: Set[Cell],
-    raw_steps: Sequence[Tuple],
+    index: DiskPeelingIndex,
+    n_disks: int,
+    was_lost: bytearray,
     sources_per_step: List[List[ValueSource]],
     max_rounds: int,
 ) -> None:
     """Hill-climb value sourcing to minimize the peak per-disk read load.
 
-    Each needed value may be read directly or decoded from its other
-    stripe; moves are accepted only if they strictly improve
-    ``(peak load, number of disks at peak, total reads)``.
+    Each needed value may be read directly or decoded from another stripe
+    containing it whose other cells were never lost; moves are accepted
+    only if they strictly improve ``(peak load, number of disks at peak,
+    total reads)``. A round tries every alternative of every source that
+    reads a peak disk, in (step, source) order, and applies the best; the
+    first of equal moves wins.
+
+    Indexed: ``readers`` maps each disk to the sources reading it, so a
+    round visits only the sources on peak disks; each ``(cell, via)``
+    sourcing's moves and their per-disk deltas are built once; and a
+    trial move is scored from the load-histogram buckets its delta
+    touches.
     """
-    loads: Dict[int, int] = {}
-    total = 0
-    for sources in sources_per_step:
-        for src in sources:
-            for disk, _addr in src.reads:
-                loads[disk] = loads.get(disk, 0) + 1
-                total += 1
-    # Load-value histogram (value -> disks at that value, zeros dropped):
-    # move trials score against a copy of this handful of entries instead
-    # of copying and re-scanning the whole per-disk load dict.
+    units = index.units_per_disk
+    cells = [src.cell for sources in sources_per_step for src in sources]
+    # Per source slot, in (step, source) order: its (via, reads).
+    slots = [(None, (cell,)) for cell in cells]
+    loads = [0] * n_disks
+    readers: DefaultDict[int, Set[int]] = defaultdict(set)
+    for slot, (disk, _addr) in enumerate(cells):
+        loads[disk] += 1
+        readers[disk].add(slot)
+    total = len(cells)
+    # Load-value histogram: value -> disks at that value, zeros dropped.
+    # A disk has load exactly when it has readers.
     hist: Dict[int, int] = {}
-    for value in loads.values():
+    for disk in readers:
+        value = loads[disk]
         hist[value] = hist.get(value, 0) + 1
 
-    # Precompute each needed cell's sourcing options once.
-    option_cache: Dict[Cell, List[ValueSource]] = {}
+    move_cache: Dict[Tuple[Cell, Optional[int]], List[_Move]] = {}
 
-    def options_for(cell: Cell) -> List[ValueSource]:
-        cached = option_cache.get(cell)
-        if cached is None:
-            cached = [ValueSource(cell, None, (cell,))]
-            for stripe_id, others in _surrogate_options(layout, cell, all_lost):
-                cached.append(ValueSource(cell, stripe_id, others))
-            option_cache[cell] = cached
-        return cached
+    def moves_from(
+        cell: Cell, via: Optional[int], reads: Tuple[Cell, ...]
+    ) -> List[_Move]:
+        """The moves away from sourcing *cell* via *via* (``None``:
+        direct): to a direct read, or to a surrogate stripe none of whose
+        other cells was lost."""
+        key = (cell, via)
+        moves = move_cache.get(key)
+        if moves is not None:
+            return moves
+        moves = move_cache[key] = []
+        cid = cell[0] * units + cell[1]
+        options = [(None, (cell,))]
+        for sid in index.cell_stripes[cid]:
+            others = [c for c in index.stripe_cells[sid] if c != cid]
+            if not any(was_lost[c] for c in others):
+                options.append((sid, tuple([index.cells[c] for c in others])))
+        for alt in options:
+            if alt[0] == via:
+                continue
+            delta: Dict[int, int] = {}
+            for disk, _a in reads:
+                delta[disk] = delta.get(disk, 0) - 1
+            for disk, _a in alt[1]:
+                delta[disk] = delta.get(disk, 0) + 1
+            moves.append((
+                alt,
+                tuple((d, c) for d, c in delta.items() if c),
+                len(alt[1]) - len(reads),
+            ))
+        return moves
 
-    def score(h: Dict[int, int], tot: int) -> Tuple[int, int, int]:
-        if not h:
-            return (0, 0, 0)
-        peak = max(h)
-        return (peak, h[peak], tot)
+    def drained_score(
+        delta: Tuple[Tuple[int, int], ...], tot: int
+    ) -> Tuple[int, int, int]:
+        """Score of a move that empties the peak bucket."""
+        touched: Dict[int, int] = {}
+        for disk, change in delta:
+            old = loads[disk]
+            new = old + change
+            if old:
+                touched[old] = touched.get(old, 0) - 1
+            if new:
+                touched[new] = touched.get(new, 0) + 1
+        for value in sorted(hist.keys() | touched.keys(), reverse=True):
+            at_value = hist.get(value, 0) + touched.get(value, 0)
+            if at_value:
+                return (value, at_value, tot)
+        return (0, 0, 0)
 
-    def shift(h: Dict[int, int], old: int, new: int) -> None:
-        """Move one disk from load *old* to load *new* in histogram *h*."""
-        if old:
-            remaining = h[old] - 1
-            if remaining:
-                h[old] = remaining
-            else:
-                del h[old]
-        if new:
-            h[new] = h.get(new, 0) + 1
-
-    current = score(hist, total)
+    slot_moves: List[Optional[List[_Move]]] = [None] * len(slots)
+    top = max(hist) if hist else 0
+    current = (top, hist[top], total) if hist else (0, 0, 0)
     for _ in range(max_rounds):
-        peak = current[0]
+        peak, at_peak, _total = current
         if peak == 0:
             break
-        peak_disks = {d for d, v in loads.items() if v == peak}
+        candidates: Set[int] = set()
+        for disk, reading in readers.items():
+            if loads[disk] == peak:
+                candidates |= reading
         best_move = None
         best_score = current
-        for step_idx, sources in enumerate(sources_per_step):
-            for src_idx, src in enumerate(sources):
-                if not any(d in peak_disks for d, _a in src.reads):
-                    continue
-                for alt in options_for(src.cell):
-                    if alt.via == src.via:
-                        continue
-                    delta: Dict[int, int] = {}
-                    for disk, _a in src.reads:
-                        delta[disk] = delta.get(disk, 0) - 1
-                    for disk, _a in alt.reads:
-                        delta[disk] = delta.get(disk, 0) + 1
-                    trial_hist = dict(hist)
-                    for disk, change in delta.items():
-                        if change:
-                            old = loads.get(disk, 0)
-                            shift(trial_hist, old, old + change)
-                    trial_total = total + len(alt.reads) - len(src.reads)
-                    trial_score = score(trial_hist, trial_total)
+        for slot in sorted(candidates):
+            moves = slot_moves[slot]
+            if moves is None:
+                moves = slot_moves[slot] = moves_from(cells[slot], *slots[slot])
+            for move in moves:
+                delta = move[1]
+                count = at_peak
+                for disk, change in delta:
+                    old = loads[disk]
+                    new = old + change
+                    if new > peak:
+                        break  # raises the peak: never an improvement
+                    if old == peak:
+                        count -= 1
+                    elif new == peak:
+                        count += 1
+                else:
+                    if count:
+                        trial_score = (peak, count, total + move[2])
+                    else:
+                        trial_score = drained_score(delta, total + move[2])
                     if trial_score < best_score:
                         best_score = trial_score
-                        best_move = (step_idx, src_idx, alt, delta)
+                        best_move = (slot, move)
         if best_move is None:
             break
-        step_idx, src_idx, alt, delta = best_move
-        sources_per_step[step_idx][src_idx] = alt
-        for disk, change in delta.items():
-            if not change:
-                continue
-            old = loads.get(disk, 0)
+        slot, (alt, delta, change_total) = best_move
+        for disk, _addr in slots[slot][1]:
+            readers[disk].discard(slot)
+        for disk, _addr in alt[1]:
+            readers[disk].add(slot)
+        slots[slot] = alt
+        slot_moves[slot] = None
+        for disk, change in delta:
+            old = loads[disk]
             new = old + change
-            shift(hist, old, new)
+            if old:
+                remaining = hist[old] - 1
+                if remaining:
+                    hist[old] = remaining
+                else:
+                    del hist[old]
             if new:
-                loads[disk] = new
-            else:
-                del loads[disk]
-            total += change
+                hist[new] = hist.get(new, 0) + 1
+            loads[disk] = new
+        total += change_total
         current = best_score
+
+    slot = 0
+    for sources in sources_per_step:
+        for i, src in enumerate(sources):
+            via, reads = slots[slot]
+            if via is not None:
+                sources[i] = ValueSource(src.cell, via, reads)
+            slot += 1
 
 
 def survivable_fraction(

@@ -245,6 +245,22 @@ class TestExitCodes:
     def test_missing_required_is_two(self):
         assert main(["info"]) == 2
 
+    def test_plan_unknown_disk_is_two(self, capsys):
+        assert main(["plan", "-v", "7", "-k", "3", "-f", "0", "99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no such disk 99" in err
+        assert "Traceback" not in err
+
+    def test_rebuild_negative_disk_is_two(self, capsys):
+        assert main(["rebuild", "-v", "7", "-k", "3", "-f", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no such disk -1" in err
+        assert "Traceback" not in err
+
+    def test_serve_unknown_disk_is_two(self, capsys):
+        assert main(TestServe.ARGS + ["-f", "21"]) == 2
+        assert "no such disk 21" in capsys.readouterr().err
+
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "report" in capsys.readouterr().out
