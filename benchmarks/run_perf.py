@@ -11,7 +11,9 @@ cold two-failure plans),
 the exhaustive tolerance sweep, the Monte-Carlo lifetime engine
 (vectorized and event kernels, serial and a ``--jobs`` sweep over the
 persistent worker pool), the coupled lifecycle engine (both kernels of
-the shared-plane pair), and the online serving simulator — and writes
+the shared-plane pair), and the online serving simulator (per-kernel
+trial rates, plus a million-request degraded run with its sample /
+sweep / summarize split) — and writes
 ``{baseline_seed, current, parallel_efficiency, speedup_vs_seed}`` so
 future PRs have a regression baseline to diff against.
 
@@ -60,6 +62,7 @@ from repro.sim.lifecycle import RebuildTimer, lifecycle_kernel, simulate_lifecyc
 from repro.sim.montecarlo import recoverability_oracle
 from repro.sim.parallel import simulate_lifetimes_parallel, simulate_serve_parallel
 from repro.sim.pool import shutdown_pool
+from repro.workloads.arrivals import OpenLoop
 from repro.workloads.generators import WorkloadSpec
 
 
@@ -350,6 +353,52 @@ def measure_serve(trials: int) -> dict:
     }
 
 
+#: The million-request serve config: 10 trials x 100k uniform reads on
+#: OI-RAID(7,3) with disk 0 failed, open-loop at 2000 req/s — the
+#: feedback-free sweep path end to end (sample, sweep, summary).
+SERVE_1M_ARGS = dict(
+    workload=WorkloadSpec(kind="uniform", n_requests=100_000,
+                          write_fraction=0.0),
+    failed_disks=(0,), arrival=OpenLoop(2000.0), trials=10,
+)
+
+
+def measure_serve_1m() -> dict:
+    """Best-of-3 ``run`` + ``summary()`` of the million-request serve.
+
+    ``serve_degraded_1m_s`` is the fastest of three profiled runs; the
+    ``sample`` / ``sweep`` / ``summarize`` seconds beside it are that
+    run's :class:`PhaseProfiler` split, so a speed claim on this row can
+    name the layer that moved.
+    """
+    oi = oi_raid(7, 3)
+    note("measuring the million-request degraded serve (3 runs) ...")
+    # Warm the plan/routing caches on a tiny run, out of the timed region.
+    simulate_serve_parallel(
+        oi, WorkloadSpec(n_requests=100), failed_disks=(0,), seed=1, jobs=1
+    )
+    best_s, best_prof = float("inf"), None
+    for _ in range(3):
+        prof = PhaseProfiler()
+        start = time.perf_counter()
+        with use_profiler(prof):
+            result = simulate_serve_parallel(oi, **SERVE_1M_ARGS, seed=1, jobs=1)
+            with prof.phase("summarize"):
+                result.summary()
+        seconds = time.perf_counter() - start
+        del result
+        if seconds < best_s:
+            best_s, best_prof = seconds, prof
+    split = best_prof.phase_seconds()
+    return {
+        "serve_degraded_1m_s": best_s,
+        **{
+            f"serve_degraded_1m_{phase}_s": split.get(phase, 0.0)
+            for phase in ("sample", "sweep", "summarize")
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=DEFAULT_MC_TRIALS,
@@ -385,6 +434,7 @@ def main(argv=None) -> int:
     current.update(measure_lifecycle(args.trials))
     current.update(measure_fleet(args.trials))
     current.update(measure_serve(args.trials))
+    current.update(measure_serve_1m())
     coverage, profiler = measure_profile(args.trials)
     current.update(coverage)
     harness_seconds = time.perf_counter() - start

@@ -61,6 +61,7 @@ import argparse
 import datetime
 import json
 import logging
+import os
 import pathlib
 import sys
 import tracemalloc
@@ -1282,8 +1283,25 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     0 = success, 1 = domain error (:class:`ReproError`, message on
     stderr), 2 = usage error (argparse, or a bad ``-f/--failed`` disk id,
-    message on stderr). ``--help`` returns 0.
+    message on stderr). ``--help`` returns 0. A reader that closes
+    stdout early (``repro ... | head``) ends the run quietly with 1, the
+    status Python itself gives a broken pipe.
     """
+    try:
+        rc = _main(argv)
+        # Flush here so a closed pipe surfaces inside the handler below,
+        # not in the interpreter's exit-time flush.
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # As the Python docs recommend for SIGPIPE: point stdout at
+        # devnull so the exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -88,6 +88,26 @@ def _mix64_np(z):  # pragma: no cover - exercised via TrialStreams
     return z ^ (z >> _np.uint64(31))
 
 
+def lane_uniforms(lanes, start: int, stop: int):
+    """Uniform slots ``start .. stop-1`` of each lane: a ``(lanes, slots)`` plane.
+
+    The one splitmix64 → ``[0, 1)`` step of every numpy plane: slot ``j``
+    of the lane seeded ``s`` is ``(mix64(s + (j+1)*G) >> 11) * 2**-53``,
+    a pure function of ``(s, j)``, so any window of any lane can be
+    built on its own and still match the same slots of a larger plane.
+    """
+    counters = _np.arange(start + 1, stop + 1, dtype=_np.uint64) * _np.uint64(
+        GOLDEN_STRIDE
+    )
+    z = _mix64_np(lanes[:, None] + counters[None, :])
+    return (z >> _np.uint64(11)).astype(_np.float64) * 2.0 ** -53
+
+
+def uniform_exponentials(u, lambd: float):
+    """``Exp(lambd)`` draws from a uniform plane: ``-log(1 - u) / lambd``."""
+    return -_np.log(1.0 - u) / lambd
+
+
 def lane_seed(seed: int, trial: int) -> int:
     """The lane seed of *trial* under run seed *seed* (both impls agree)."""
     return mix64((seed & _MASK64) + (trial + 1) * GOLDEN_STRIDE)
@@ -289,12 +309,8 @@ class TrialStreams:
         # no-growth path never touches the profiler.
         with ambient_profiler().phase("sample"):
             target = max(slots, 2 * self._slots, 16)
-            counters = _np.arange(
-                self._slots + 1, target + 1, dtype=_np.uint64
-            ) * _np.uint64(GOLDEN_STRIDE)
-            z = _mix64_np(self._lanes[:, None] + counters[None, :])
-            fresh_u = (z >> _np.uint64(11)).astype(_np.float64) * 2.0 ** -53
-            fresh_e = -_np.log(1.0 - fresh_u) / self.lambd
+            fresh_u = lane_uniforms(self._lanes, self._slots, target)
+            fresh_e = uniform_exponentials(fresh_u, self.lambd)
             self._uniforms = _np.hstack((self._uniforms, fresh_u))
             self._exponentials = _np.hstack((self._exponentials, fresh_e))
             self._slots = target

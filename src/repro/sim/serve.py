@@ -29,8 +29,9 @@ shaped service model behind all of them:
 Like the lifecycle simulator, serving ships **two kernels over one
 sampling plane** (``kernel='auto'|'vectorized'|'event'``). Every trial's
 workload — arrival gaps, unit addresses, write coin-flips — is drawn
-from purpose-keyed :class:`~repro.sim.columnar.TrialStreams` lanes, so
-which kernel consumes the trace can never change a float of it:
+from purpose-keyed counter-based lanes
+(:func:`~repro.sim.columnar.lane_uniforms`), so which kernel consumes
+the trace can never change a float of it:
 
 * the **event kernel** walks the trace through the discrete-event heap
   (:class:`~repro.sim.engine.Simulator`), one pop per leg — required for
@@ -53,14 +54,11 @@ any worker count — the same contract as every other simulator here.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
-try:  # the vectorized kernel needs numpy; the event kernel does not
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from repro.errors import SimulationError
 from repro.layouts.base import Layout
@@ -74,16 +72,16 @@ from repro.obs.prof import ambient_profiler
 from repro.obs.telemetry import Telemetry, ambient, use_telemetry
 from repro.results import ResultBase, register_result
 from repro.sim.columnar import (
-    PyTrialStreams,
-    TrialStreams,
     derive_chunk_seed,
     derive_lane_seeds,
     fresh_seed,
+    lane_uniforms,
+    uniform_exponentials,
 )
 from repro.sim.engine import FcfsServer, Simulator
 from repro.sim.latency import LatencyModel
 from repro.util.checks import check_positive, check_probability
-from repro.util.stats import mean, percentile
+from repro.util.stats import mean, percentile_of_sorted
 from repro.workloads.arrivals import ArrivalProcess, ClosedLoop, OpenLoop
 from repro.workloads.generators import Request, WorkloadSpec
 
@@ -96,22 +94,14 @@ def serve_kernel(name: str) -> str:
     """Resolve a kernel name to the concrete kernel (``auto`` decides).
 
     Returns ``'vectorized'`` or ``'event'``. ``'auto'`` picks the
-    vectorized kernel whenever numpy is importable — safe because both
-    kernels read one sampling plane and return bit-identical results —
-    and the event walk otherwise. Asking for ``'vectorized'`` without
-    numpy raises instead of silently degrading.
+    vectorized kernel — safe because both kernels read one sampling
+    plane and return bit-identical results.
     """
     if name not in SERVE_KERNELS:
         raise SimulationError(
             f"unknown serve kernel {name!r} (expected one of {SERVE_KERNELS})"
         )
-    if name == "auto":
-        return "vectorized" if _np is not None else "event"
-    if name == "vectorized" and _np is None:
-        raise SimulationError(
-            "the vectorized serve kernel requires numpy; use kernel='event'"
-        )
-    return name
+    return "vectorized" if name == "auto" else name
 
 
 class ThrottlePolicy:
@@ -298,6 +288,24 @@ class ServeResult(ResultBase):
         "rebuild_complete",
     )
 
+    def __getstate__(self):
+        # The sorted-latency cache is derived data: keep it out of pickles
+        # (worker results, copies) so they carry exactly the fields.
+        state = dict(self.__dict__)
+        state.pop("_sorted_latencies", None)
+        return state
+
+    @cached_property
+    def _sorted_latencies(self):
+        """``latencies_ms`` as one ascending float64 array, sorted once.
+
+        Built on the first percentile read; the field itself keeps the
+        pooled heap-pop order that ``to_dict`` and the digests see.
+        """
+        ordered = _np.array(self.latencies_ms, dtype=_np.float64)
+        ordered.sort()
+        return ordered
+
     @property
     def mean_ms(self) -> float:
         """Mean foreground latency (ms)."""
@@ -306,22 +314,22 @@ class ServeResult(ResultBase):
     @property
     def p50_ms(self) -> float:
         """Median foreground latency (ms)."""
-        return percentile(self.latencies_ms, 50)
+        return percentile_of_sorted(self._sorted_latencies, 50)
 
     @property
     def p95_ms(self) -> float:
         """95th-percentile foreground latency (ms)."""
-        return percentile(self.latencies_ms, 95)
+        return percentile_of_sorted(self._sorted_latencies, 95)
 
     @property
     def p99_ms(self) -> float:
         """99th-percentile foreground latency (ms)."""
-        return percentile(self.latencies_ms, 99)
+        return percentile_of_sorted(self._sorted_latencies, 99)
 
     @property
     def max_ms(self) -> float:
         """Worst foreground latency (ms)."""
-        return max(self.latencies_ms)
+        return percentile_of_sorted(self._sorted_latencies, 100)
 
     @property
     def degraded_fraction(self) -> float:
@@ -599,6 +607,7 @@ def _resolve_tables(
 # ts is lane_seed(ts, p), so the plane is a pure function of the trial
 # seed — the batched plane of k trials is, row for row, the plane each
 # trial would sample alone (derive_lane_seeds packs them side by side).
+# A config builds only the lanes it reads, each only as wide as it reads.
 
 _LANE_ARRIVAL, _LANE_UNIT, _LANE_WRITE, _LANE_PERM = range(4)
 _N_LANES = 4
@@ -607,8 +616,8 @@ _N_LANES = 4
 def _zipf_cumulative(n_units: int, skew: float):
     """Cumulative Zipf weights (rank r weighted 1/r**skew), plus total.
 
-    Plain sequential Python accumulation, shared verbatim by the numpy
-    and fallback samplers so both read identical cut points.
+    Plain sequential Python accumulation, so the cut points never depend
+    on a vectorized summation order.
     """
     cumulative: List[float] = []
     total = 0.0
@@ -646,20 +655,18 @@ class _TraceBatch:
         """Trial *i*'s ``(arrivals, units, is_write)`` as Python lists."""
         arrivals = self.arrivals
         if arrivals is not None:
-            arrivals = _as_list(arrivals[i])
+            arrivals = arrivals[i].tolist()
         units = self.units if self.shared else self.units[i]
         is_write = self.is_write if self.shared else self.is_write[i]
-        return arrivals, _as_list(units), _as_list(is_write)
+        return arrivals, units.tolist(), is_write.tolist()
 
 
-def _as_list(row):
-    """Materialize a numpy row as a list; pass plain lists through."""
-    return row.tolist() if hasattr(row, "tolist") else list(row)
+def _spec_units_np(spec: WorkloadSpec, n_units: int, plane, k: int, n: int):
+    """Vectorized unit/write tables for a WorkloadSpec.
 
-
-def _spec_units_np(spec: WorkloadSpec, n_units: int, u, n: int):
-    """Vectorized unit/write tables for a WorkloadSpec (numpy builds)."""
-    k = u.shape[0]
+    ``plane(purpose, width)`` returns the ``(k, width)`` uniforms of one
+    purpose lane; only the lanes this spec reads are requested.
+    """
     if spec.kind == "sequential":
         base = (spec.start + _np.arange(n, dtype=_np.int64)) % n_units
         units = _np.broadcast_to(base, (k, n))
@@ -669,18 +676,16 @@ def _spec_units_np(spec: WorkloadSpec, n_units: int, u, n: int):
         return units, is_write
     if spec.kind == "uniform":
         units = _np.minimum(
-            (u[:, _LANE_UNIT, :n] * n_units).astype(_np.int64), n_units - 1
+            (plane(_LANE_UNIT, n) * n_units).astype(_np.int64), n_units - 1
         )
     else:  # zipf
         cumulative, total = _zipf_cumulative(n_units, spec.skew)
         # Hot ranks land on shuffled unit addresses: the permutation is
         # the stable sort order of the permutation lane's first n_units
-        # uniforms — a per-trial Fisher-Yates-free shuffle both sampler
-        # implementations reproduce exactly (uniforms are bit-identical
-        # across implementations, and both sorts are stable).
-        perm = _np.argsort(u[:, _LANE_PERM, :n_units], axis=1, kind="stable")
+        # uniforms — a per-trial shuffle keyed by the trial seed alone.
+        perm = _np.argsort(plane(_LANE_PERM, n_units), axis=1, kind="stable")
         cuts = _np.asarray(cumulative)
-        idx = _np.searchsorted(cuts, u[:, _LANE_UNIT, :n] * total, side="left")
+        idx = _np.searchsorted(cuts, plane(_LANE_UNIT, n) * total, side="left")
         idx = _np.minimum(idx, n_units - 1)
         units = _np.take_along_axis(perm, idx, axis=1)
     wf = spec.write_fraction
@@ -689,38 +694,7 @@ def _spec_units_np(spec: WorkloadSpec, n_units: int, u, n: int):
     elif wf >= 1.0:
         is_write = _np.broadcast_to(_np.array(True), (k, n))
     else:
-        is_write = u[:, _LANE_WRITE, :n] < wf
-    return units, is_write
-
-
-def _spec_units_py(spec: WorkloadSpec, n_units: int, streams, n: int):
-    """Pure-Python mirror of :func:`_spec_units_np` for one trial."""
-    if spec.kind == "sequential":
-        units = [(spec.start + i) % n_units for i in range(n)]
-        return units, [spec.write_fraction >= 0.5] * n
-    if spec.kind == "uniform":
-        units = []
-        for j in range(n):
-            v = int(streams.uniform(_LANE_UNIT, j) * n_units)
-            units.append(v if v < n_units else n_units - 1)
-    else:  # zipf
-        cumulative, total = _zipf_cumulative(n_units, spec.skew)
-        keys = [streams.uniform(_LANE_PERM, j) for j in range(n_units)]
-        perm = sorted(range(n_units), key=keys.__getitem__)
-        units = []
-        for j in range(n):
-            x = streams.uniform(_LANE_UNIT, j) * total
-            idx = bisect_left(cumulative, x)
-            units.append(perm[min(idx, n_units - 1)])
-    wf = spec.write_fraction
-    if wf <= 0.0:
-        is_write = [False] * n
-    elif wf >= 1.0:
-        is_write = [True] * n
-    else:
-        is_write = [
-            streams.uniform(_LANE_WRITE, j) < wf for j in range(n)
-        ]
+        is_write = plane(_LANE_WRITE, n) < wf
     return units, is_write
 
 
@@ -735,6 +709,11 @@ def _sample_traces(
     This is the single sampling plane both serve kernels read: the
     floats depend only on ``(trial seed, workload, arrival)``, never on
     which kernel consumes them or how trials are batched into chunks.
+    Each purpose lane is materialized only if the config reads it —
+    arrival exponentials for open loops, unit uniforms unless the
+    workload is sequential, write uniforms for a fractional write mix,
+    permutation uniforms for Zipf — and a lane's slots are a function of
+    ``(lane seed, column)`` alone, so skipping one changes no other.
     """
     k = len(trial_seeds)
     spec: Optional[WorkloadSpec] = None
@@ -751,64 +730,25 @@ def _sample_traces(
         if not requests:
             raise SimulationError("workload has no requests")
         n = len(requests)
-    if isinstance(arrival, OpenLoop):
-        lambd = arrival.rate_per_s
-    elif isinstance(arrival, ClosedLoop):
-        lambd = 1.0  # arrival lane unused: closed loops pace themselves
-    else:
+    if not isinstance(arrival, (OpenLoop, ClosedLoop)):
         raise SimulationError(
             f"unknown arrival process {type(arrival).__name__}"
         )
-    slots = n
-    if spec is not None and spec.kind == "zipf":
-        slots = max(n, n_units)
+    lanes = derive_lane_seeds(trial_seeds, _N_LANES).reshape(k, _N_LANES)
 
-    if _np is not None:
-        streams = TrialStreams(
-            0, k * _N_LANES, lambd, slots,
-            lane_seeds=derive_lane_seeds(trial_seeds, _N_LANES),
-        )
-        width = streams.slots
-        arrivals = None
-        if isinstance(arrival, OpenLoop):
-            exp = streams.exponentials.reshape(k, _N_LANES, width)
-            arrivals = _np.cumsum(exp[:, _LANE_ARRIVAL, :n], axis=1)
-        if requests is not None:
-            units = _np.array([r.unit for r in requests], dtype=_np.int64)
-            is_write = _np.array(
-                [bool(r.is_write) for r in requests], dtype=bool
-            )
-            return _TraceBatch(k, n, arrivals, units, is_write, shared=True)
-        u = streams.uniforms.reshape(k, _N_LANES, width)
-        units, is_write = _spec_units_np(spec, n_units, u, n)
-        return _TraceBatch(k, n, arrivals, units, is_write, shared=False)
+    def plane(purpose: int, width: int):
+        return lane_uniforms(lanes[:, purpose], 0, width)
 
-    arrivals_rows = [] if isinstance(arrival, OpenLoop) else None
-    units_rows: List[List[int]] = []
-    write_rows: List[List[bool]] = []
-    for ts in trial_seeds:
-        streams = PyTrialStreams(
-            0, _N_LANES, lambd,
-            lane_seeds=derive_lane_seeds((ts,), _N_LANES),
-        )
-        if arrivals_rows is not None:
-            t = 0.0
-            row = []
-            for j in range(n):
-                t += streams.exponential(_LANE_ARRIVAL, j)
-                row.append(t)
-            arrivals_rows.append(row)
-        if spec is not None:
-            units_row, write_row = _spec_units_py(spec, n_units, streams, n)
-            units_rows.append(units_row)
-            write_rows.append(write_row)
+    arrivals = None
+    if isinstance(arrival, OpenLoop):
+        gaps = uniform_exponentials(plane(_LANE_ARRIVAL, n), arrival.rate_per_s)
+        arrivals = _np.cumsum(gaps, axis=1)
     if requests is not None:
-        units = [r.unit for r in requests]
-        is_write = [bool(r.is_write) for r in requests]
-        return _TraceBatch(k, n, arrivals_rows, units, is_write, shared=True)
-    return _TraceBatch(
-        k, n, arrivals_rows, units_rows, write_rows, shared=False
-    )
+        units = _np.array([r.unit for r in requests], dtype=_np.int64)
+        is_write = _np.array([bool(r.is_write) for r in requests], dtype=bool)
+        return _TraceBatch(k, n, arrivals, units, is_write, shared=True)
+    units, is_write = _spec_units_np(spec, n_units, plane, k, n)
+    return _TraceBatch(k, n, arrivals, units, is_write, shared=False)
 
 
 def serve_batch_supported(
@@ -921,11 +861,20 @@ def _sweep_batch(
     leg_ends = _np.cumsum(flat_lens)
     req_starts = leg_ends - flat_lens
     total_legs = int(leg_ends[-1])
-    leg_req = _np.repeat(_np.arange(k * n), flat_lens)
-    leg_pos = _np.arange(total_legs) - _np.repeat(req_starts, flat_lens)
-    leg_src = _np.repeat(starts.ravel(), flat_lens) + leg_pos
+    # Leg i of a request starting at leg req_start reads route slot
+    # start + (i - req_start).
+    leg_src = _np.arange(total_legs) + _np.repeat(
+        starts.ravel() - req_starts, flat_lens
+    )
     n_lanes = len(tables.survivors)
-    lane_ids = (leg_req // n) * n_lanes + routes.leg_lanes[leg_src]
+    lane_base = _np.repeat(
+        _np.arange(0, k * n_lanes, n_lanes), lens.sum(axis=1)
+    )
+    # The narrowest dtype that holds every lane id: numpy's stable sort
+    # of <= 16-bit integers is a radix sort, and a stable order is unique.
+    lane_ids = (lane_base + routes.leg_lanes[leg_src]).astype(
+        _np.min_scalar_type(k * n_lanes)
+    )
     leg_t = _np.repeat(arrivals.ravel(), flat_lens)
     leg_s = _np.repeat(svc.ravel(), flat_lens)
 
@@ -943,8 +892,11 @@ def _sweep_batch(
     starts_by_depth = lane_starts[by_depth]
     busy = _np.zeros(len(by_depth))
     done_sorted = _np.empty(total_legs)
-    for pos in range(max_depth):
-        alive = int(_np.searchsorted(neg_depth, -pos, side="left"))
+    # Lanes still holding a leg at each position: a shrinking prefix.
+    alive_at = _np.searchsorted(
+        neg_depth, -_np.arange(max_depth), side="left"
+    ).tolist()
+    for pos, alive in enumerate(alive_at):
         idx = starts_by_depth[:alive] + pos
         done = _np.maximum(busy[:alive], t_sorted[idx]) + s_sorted[idx]
         busy[:alive] = done
@@ -960,9 +912,10 @@ def _sweep_batch(
     latency_ms = (completion - flat_arrivals) * 1000.0
     # The walk appends a latency when a request's last leg pops — heap
     # order (completion time, then schedule seq, which is request order
-    # within a trial). A stable per-trial sort by completion reproduces
-    # that pooled order exactly.
-    pop_order = _np.lexsort((completion, _np.repeat(_np.arange(k), n)))
+    # within a trial). A stable sort of each trial's row by completion,
+    # offset to that row, reproduces the pooled order exactly.
+    pop_order = _np.argsort(completion.reshape(k, n), axis=1, kind="stable")
+    pop_order += _np.arange(0, k * n, n)[:, None]
 
     n_requests = k * n
     n_writes = int(is_write.sum())
@@ -980,7 +933,7 @@ def _sweep_batch(
         degraded_writes=degraded_writes,
         device_reads=total_legs,
         device_writes=device_writes,
-        latencies_ms=tuple(latency_ms[pop_order].tolist()),
+        latencies_ms=tuple(latency_ms[pop_order.ravel()].tolist()),
         rebuild_ops=0,
         rebuild_ops_done=0,
         rebuild_seconds_per_trial=(),
@@ -1294,10 +1247,6 @@ def simulate_serve_vectorized(
     observation stream must match the walk's exactly — replay each trial
     through the event walk on the same sampled lanes.
     """
-    if _np is None:
-        raise SimulationError(
-            "the vectorized serve kernel requires numpy; use kernel='event'"
-        )
     if trial_seeds is not None:
         seeds = tuple(int(s) for s in trial_seeds)
         if not seeds:

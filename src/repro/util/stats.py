@@ -67,23 +67,34 @@ def wilson_interval(
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile, q in [0, 100].
 
-    Accepts any sized sequence, including numpy arrays.
+    Accepts any sized sequence, including numpy arrays. Sorts a copy on
+    every call: callers reading several percentiles of one large sample
+    sort it once and use :func:`percentile_of_sorted`.
     """
-    if len(values) == 0:
+    return percentile_of_sorted(sorted(values), q)
+
+
+def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of an already ascending sequence, as a float.
+
+    *ordered* may be a list or a numpy array; the result is a Python
+    ``float`` either way, computed with the same interpolation and
+    clamp, so it equals ``percentile(ordered, q)`` bit for bit.
+    """
+    if len(ordered) == 0:
         raise ValueError("percentile of empty sequence")
     if not 0 <= q <= 100:
         raise ValueError(f"q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
     pos = (len(ordered) - 1) * q / 100.0
     lo = math.floor(pos)
     hi = math.ceil(pos)
+    low = float(ordered[lo])
     if lo == hi:
-        return ordered[lo]
-    frac = pos - lo
-    value = ordered[lo] + frac * (ordered[hi] - ordered[lo])
+        return low
+    high = float(ordered[hi])
+    value = low + (pos - lo) * (high - low)
     # Clamp: float rounding in the interpolation must never push the
     # result outside the bracketing samples (hypothesis-found edge case
-    # with near-equal subnormal inputs).
-    return min(max(value, ordered[lo]), ordered[hi])
+    # with near-equal subnormal inputs), nor may a span whose difference
+    # overflows to inf.
+    return min(max(value, low), high)

@@ -1,6 +1,13 @@
 """The command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 from repro.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def _strip_workers(text):
@@ -264,6 +271,30 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "report" in capsys.readouterr().out
+
+    def test_closed_stdout_exits_quietly(self):
+        """``repro plan ... | head -1``: no traceback when the reader leaves.
+
+        The read end is closed before the child starts, so its first
+        write to stdout always hits a broken pipe.
+        """
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "plan", "-v", "7", "-k", "3",
+                 "-f", "0", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr.decode()
+        assert proc.returncode == 1
 
 
 LIFECYCLE_ARGS = TestLifecycle.ARGS

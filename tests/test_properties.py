@@ -1,8 +1,12 @@
 """Property-based tests (hypothesis) on the library's core invariants."""
 
+import math
+import pickle
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codes.raid5 import Raid5Codec
@@ -11,8 +15,14 @@ from repro.core.oi_layout import oi_raid
 from repro.design.catalog import find_bibd
 from repro.design.difference import heffter_triples
 from repro.layouts.recovery import is_recoverable, plan_recovery
+from repro.results import result_from_dict
+from repro.sim.serve import ServeResult
 from repro.util.primes import is_prime, next_prime
-from repro.util.stats import coefficient_of_variation, percentile
+from repro.util.stats import (
+    coefficient_of_variation,
+    percentile,
+    percentile_of_sorted,
+)
 
 # One small layout reused across examples (construction is the slow part).
 _FANO_OI = oi_raid(7, 3)
@@ -141,6 +151,116 @@ def test_cv_is_scale_invariant(values):
 def test_percentile_within_range(values, q):
     p = percentile(values, q)
     assert min(values) <= p <= max(values)
+
+
+def reference_percentile(values, q):
+    """The tuple-based percentile as first written: sort, interpolate, clamp."""
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    pos = (len(ordered) - 1) * q / 100.0
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return ordered[lo]
+    value = ordered[lo] + (pos - lo) * (ordered[hi] - ordered[lo])
+    return min(max(value, ordered[lo]), ordered[hi])
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+# Signed zeros are folded (x + 0.0): -0.0 and 0.0 compare equal, so two
+# sorts may order them differently and the sign of a zero result is not
+# part of the contract.
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(
+    lambda x: x + 0.0
+)
+_tied = st.sampled_from([0.0, 1.0, 2.5, 5e-324, 1e-323, 7.0])
+
+
+@given(
+    st.lists(st.one_of(_finite, _tied), min_size=1, max_size=60),
+    st.one_of(st.sampled_from([0.0, 50.0, 95.0, 99.0, 100.0]),
+              st.floats(min_value=0, max_value=100)),
+)
+@example([3.5], 37.0)
+@example([2.0, 2.0, 2.0, 1.0], 50.0)
+@example([1.0, 9.0], 0.0)
+@example([1.0, 9.0], 100.0)
+# Near-equal subnormals, and a span so wide that ``high - low``
+# overflows to inf: only the clamp brings that result back to ``high``.
+@example([5e-324, 1e-323], 33.3)
+@example([2.225073858507201e-308, 2.2250738585072014e-308], 99.0)
+@example([-1.5e308, 1.5e308], 50.0)
+@settings(max_examples=200, deadline=None)
+def test_percentile_of_sorted_is_the_reference_percentile(values, q):
+    expected = reference_percentile(values, q)
+    got = percentile_of_sorted(np.sort(np.array(values)), q)
+    assert type(got) is float
+    assert float_bits(got) == float_bits(float(expected))
+    assert float_bits(percentile(list(values), q)) == float_bits(got)
+
+
+def _result_of(latencies):
+    n = len(latencies)
+    return ServeResult(
+        trials=1, requests=n, reads=n, writes=0, degraded_reads=0,
+        degraded_writes=0, device_reads=n, device_writes=0,
+        latencies_ms=tuple(latencies), rebuild_ops=0, rebuild_ops_done=0,
+        rebuild_seconds_per_trial=(), foreground_seconds_per_trial=(1.0,),
+    )
+
+
+_latency_lists = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        st.sampled_from([5.625, 11.25, 5e-324]),
+    ),
+    min_size=1, max_size=80,
+)
+
+
+class TestSortedLatencies:
+    """Percentiles read one cached sorted array; nothing else may see it."""
+
+    @given(_latency_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_statistics_equal_the_tuple_definitions(self, latencies):
+        result = _result_of(latencies)
+        values = tuple(latencies)
+        expected = {
+            "p50_ms": reference_percentile(values, 50),
+            "p95_ms": reference_percentile(values, 95),
+            "p99_ms": reference_percentile(values, 99),
+            "max_ms": max(values),
+            "mean_ms": sum(values) / len(values),
+        }
+        for name, value in expected.items():
+            got = getattr(result, name)
+            assert type(got) is float, name
+            assert float_bits(got) == float_bits(float(value)), name
+
+    @given(_latency_lists)
+    @settings(max_examples=30, deadline=None)
+    def test_cache_never_leaks(self, latencies):
+        fresh = _result_of(latencies)
+        result = _result_of(latencies)
+        result.p99_ms  # builds the cache
+        assert "_sorted_latencies" in vars(result)
+        assert result == fresh
+        assert result.to_dict() == fresh.to_dict()
+        assert "_sorted_latencies" not in result.to_dict()
+        blob = pickle.dumps(result)
+        assert blob == pickle.dumps(fresh)
+        restored = pickle.loads(blob)
+        assert "_sorted_latencies" not in vars(restored)
+        assert restored == result
+        reloaded = result_from_dict(result.to_dict())
+        assert "_sorted_latencies" not in vars(reloaded)
+        assert reloaded == result
+        assert reloaded.summary() == result.summary()
 
 
 @given(
